@@ -7,7 +7,9 @@ use fsapi::{Mode, OpenFlags, ProcFs};
 use hare_core::{HareConfig, HareInstance};
 use nccmem::{BlockId, Dram, PrivateCache};
 
-/// Atomic-delivery channel send+recv.
+/// Atomic-delivery channel send+recv, and a mailbox post+step: the two
+/// transports an RPC crosses (request into the server's mailbox, reply
+/// into the client's channel).
 fn bench_channel(c: &mut Criterion) {
     let mut g = c.benchmark_group("msg");
     g.throughput(Throughput::Elements(1));
@@ -17,6 +19,13 @@ fn bench_channel(c: &mut Criterion) {
             tx.send(42, 0, 0).unwrap();
             std::hint::black_box(rx.try_recv().unwrap());
         })
+    });
+    g.bench_function("mailbox_post_step", |b| {
+        let (tx, inbox) = msg::Mailboxes::new().mailbox::<u64>(msg::MsgStats::shared());
+        inbox.serve(|env| {
+            std::hint::black_box(env.payload);
+        });
+        b.iter(|| tx.send(42, 0, 0).unwrap())
     });
     g.finish();
 }
@@ -56,7 +65,7 @@ fn bench_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// Full Hare RPC round trips through real server threads.
+/// Full Hare RPC round trips (the servers step on this thread).
 fn bench_hare_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("hare");
     g.sample_size(30);

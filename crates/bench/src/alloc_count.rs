@@ -5,8 +5,10 @@
 //! channel and the pre-sized component vector. This module makes those
 //! wins testable: a thin wrapper over the system allocator that bumps a
 //! thread-local counter on every `alloc`/`realloc`, so a test can measure
-//! exactly how many allocations *its own thread* performs per operation —
-//! server threads allocate concurrently and must not pollute the count.
+//! exactly how many allocations *its own thread* performs per operation.
+//! File servers are stepped by the thread that posts to them, so for a
+//! test with one client thread that is the operation's whole path, servers
+//! included, and other tests in the binary cannot pollute the count.
 //!
 //! The wrapper is only installed by test binaries built with the
 //! `count-alloc` feature (see `tests/alloc_counts.rs`); it is never active

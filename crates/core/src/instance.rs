@@ -1,30 +1,30 @@
-//! A running Hare machine: file servers spawned, clients mintable.
+//! A running Hare machine: file servers installed, clients mintable.
 
 use crate::client::{ClientLib, ClientParams};
 use crate::config::HareConfig;
 use crate::machine::Machine;
-use crate::proto::{Request, ServerMsg};
+use crate::proto::ServerMsg;
 use crate::rpc::ServerHandle;
 use crate::server::{Server, ServerParams};
 use crate::types::ServerId;
 use fsapi::FsResult;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A booted Hare instance: one file server thread per configured server
-/// core, sharing one simulated [`Machine`].
+/// A booted Hare instance: one file server per configured server core,
+/// sharing one simulated [`Machine`]. The servers are mailboxes of
+/// [`Machine::mailboxes`], not threads: whoever sends a server a request
+/// runs [`Server::handle`] on it before the send returns.
 pub struct HareInstance {
     machine: Arc<Machine>,
     cfg: HareConfig,
     servers: Arc<Vec<ServerHandle>>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     next_client: AtomicU64,
 }
 
 impl HareInstance {
     /// Boots the instance: builds the machine, partitions the buffer cache
-    /// among servers, and starts one server thread per server core.
+    /// among servers, and installs one server per server core.
     pub fn start(cfg: HareConfig) -> Arc<HareInstance> {
         let machine = Machine::new(&cfg);
         let nservers = cfg.nservers();
@@ -33,24 +33,25 @@ impl HareInstance {
         assert!(per_server > 0, "buffer cache too small for server count");
 
         // Every server holds handles to all of its peers (for forwarding
-        // chained LookupPath remainders), so the channels are created
-        // up-front and the server threads spawned in a second pass.
+        // chained LookupPath remainders), so the mailboxes are created
+        // up-front and the servers installed in a second pass.
         let mut handles = Vec::with_capacity(nservers);
-        let mut rxs = Vec::with_capacity(nservers);
+        let mut inboxes = Vec::with_capacity(nservers);
         for (i, &core) in cfg.server_cores.iter().enumerate() {
-            let (tx, rx) = msg::channel::<ServerMsg>(Arc::clone(&machine.msg_stats));
+            let (tx, inbox) = machine
+                .mailboxes
+                .mailbox::<ServerMsg>(Arc::clone(&machine.msg_stats));
             machine.register_entity(core);
             handles.push(ServerHandle {
                 id: i as ServerId,
                 core,
                 tx,
             });
-            rxs.push(rx);
+            inboxes.push(inbox);
         }
         let handles = Arc::new(handles);
-        let mut threads = Vec::with_capacity(nservers);
-        for (i, rx) in rxs.into_iter().enumerate() {
-            let server = Server::new(
+        for (i, inbox) in inboxes.into_iter().enumerate() {
+            let mut server = Server::new(
                 Arc::clone(&machine),
                 ServerParams {
                     id: i as ServerId,
@@ -77,18 +78,12 @@ impl HareInstance {
                     list_page_max: cfg.list_page_max,
                 },
             );
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("hare-fs-{i}"))
-                    .spawn(move || server.run(rx))
-                    .expect("spawn server thread"),
-            );
+            inbox.serve(move |env| server.handle(env));
         }
         Arc::new(HareInstance {
             machine,
             cfg,
             servers: handles,
-            threads: Mutex::new(threads),
             next_client: AtomicU64::new(1),
         })
     }
@@ -143,26 +138,13 @@ impl HareInstance {
         )
     }
 
-    /// Stops all server threads. Idempotent; also run on drop.
+    /// Closes every server's mailbox and drops the servers: later requests
+    /// fail with `EIO`. Idempotent; also run on drop. Each server holds
+    /// handles to all of them, so without this they would keep each other
+    /// — and the machine — alive forever.
     pub fn shutdown(&self) {
-        let mut threads = self.threads.lock();
-        if threads.is_empty() {
-            return;
-        }
         for s in self.servers.iter() {
-            let (tx, _rx) = msg::channel(Arc::clone(&self.machine.msg_stats));
-            let _ = s.tx.send(
-                ServerMsg {
-                    req: Request::Shutdown,
-                    reply: tx,
-                    span: None,
-                },
-                u64::MAX,
-                0,
-            );
-        }
-        for t in threads.drain(..) {
-            let _ = t.join();
+            s.tx.close();
         }
     }
 }
@@ -184,6 +166,16 @@ mod tests {
         inst.shutdown();
         // Idempotent.
         inst.shutdown();
+    }
+
+    #[test]
+    fn requests_after_shutdown_fail_with_eio() {
+        use fsapi::ProcFs;
+        let inst = HareInstance::start(HareConfig::timeshare(2));
+        let c = inst.new_client(0).unwrap();
+        c.stat("/").unwrap();
+        inst.shutdown();
+        assert_eq!(c.stat("/").unwrap_err(), fsapi::Errno::EIO);
     }
 
     #[test]

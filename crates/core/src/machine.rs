@@ -98,6 +98,9 @@ pub struct Machine {
     caches: Vec<Mutex<PrivateCache>>,
     /// Machine-wide message counters.
     pub msg_stats: Arc<msg::MsgStats>,
+    /// The machine's caller-stepped mailboxes: every file server and
+    /// scheduling server is one, stepped by the thread that posts to it.
+    pub mailboxes: Arc<msg::Mailboxes>,
     /// Number of runnable entities resident on each core.
     entities: Vec<AtomicUsize>,
     /// The cores hosting file servers, by server id (placement and
@@ -177,6 +180,7 @@ impl Machine {
                 .map(|_| Mutex::new(PrivateCache::new(cfg.cache_blocks)))
                 .collect(),
             msg_stats: msg::MsgStats::shared(),
+            mailboxes: msg::Mailboxes::new(),
             entities: (0..cfg.ncores).map(|_| AtomicUsize::new(0)).collect(),
             server_cores: cfg.server_cores.clone(),
             server_ops: cfg.server_cores.iter().map(|_| AtomicU64::new(0)).collect(),

@@ -155,15 +155,21 @@ impl Inner {
     }
 }
 
-// Per-thread bookkeeping. A simulated process (and each server loop) is a
-// single thread of control, so "the span whose work this thread is doing
-// right now" is exactly a stack. Entries carry the owning tracer's
-// instance id so two traced machines in one test process cannot charge
-// each other's spans.
+// Per-thread bookkeeping. A simulated process is a single thread of
+// control, and a server handles a request on the thread that posted it,
+// nested inside whatever that thread was doing, so "the span whose work
+// this thread is doing right now" is exactly a stack. Entries carry the
+// owning tracer's instance id so two traced machines in one test process
+// cannot charge each other's spans. Span id 0 ([`UNTRACED`]) marks a
+// server handling a request that carries no context: it hides the
+// poster's own open spans from that handling.
 thread_local! {
     static STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
     static TAG: Cell<Option<Cause>> = const { Cell::new(None) };
 }
+
+/// Stack entry of a handling that belongs to no tree.
+const UNTRACED: u64 = 0;
 
 /// Tracer instance ids (disambiguate thread-local stack entries when one
 /// OS thread touches several traced machines).
@@ -209,6 +215,7 @@ impl Tracer {
                 .rev()
                 .find(|(t, _)| *t == self.tid)
                 .map(|(_, id)| *id)
+                .filter(|id| *id != UNTRACED)
         })
     }
 
@@ -364,8 +371,9 @@ impl Tracer {
     // ----- Server-side: child spans from received contexts ---------------
 
     /// Opens a span from a received [`SpanCtx`] (the server side of a
-    /// request). Returns whether a span was opened — the caller must pair
-    /// a `true` with exactly one [`Tracer::end_span`].
+    /// request); without a context, only shields the thread's open spans
+    /// from the sends this handling makes. Returns whether the caller owes
+    /// an [`Tracer::end_span`] — exactly one per `true`.
     pub fn begin_from(
         &self,
         ctx: Option<SpanCtx>,
@@ -376,22 +384,22 @@ impl Tracer {
         if !self.enabled {
             return false;
         }
-        let Some(ctx) = ctx else { return false };
-        let mut inner = self.inner.lock();
-        let id = inner.alloc(Span {
-            op: ctx.op,
-            parent: ctx.parent,
-            idx: ctx.idx,
-            cause: ctx.cause,
-            label,
-            core,
-            start: now,
-            end: now,
-            sends: 0,
-            next_child: 0,
-            open: true,
-        });
-        drop(inner);
+        let id = match ctx {
+            None => UNTRACED,
+            Some(ctx) => self.inner.lock().alloc(Span {
+                op: ctx.op,
+                parent: ctx.parent,
+                idx: ctx.idx,
+                cause: ctx.cause,
+                label,
+                core,
+                start: now,
+                end: now,
+                sends: 0,
+                next_child: 0,
+                open: true,
+            }),
+        };
         self.push(id);
         true
     }
@@ -436,7 +444,9 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        let Some(id) = self.pop() else { return };
+        let Some(id) = self.pop().filter(|id| *id != UNTRACED) else {
+            return;
+        };
         let mut inner = self.inner.lock();
         let s = inner.spans.get_mut(&id).expect("open span recorded");
         s.end = now.max(s.start);
@@ -527,7 +537,7 @@ impl Tracer {
 
     /// Assembled span trees, one per recorded root operation, in
     /// operation order; children in child-position (causal send) order.
-    /// The assembly is deterministic however server threads interleaved.
+    /// The assembly is deterministic however client threads interleaved.
     pub fn op_trees(&self) -> Vec<SpanNode> {
         if !self.enabled {
             return Vec::new();
@@ -807,6 +817,27 @@ mod tests {
         assert!(js.contains("\"name\":\"ListShard\""));
         assert!(js.contains("\"cat\":\"resolve\""));
         assert!(!js.contains('.'), "integer vtimes only: {js}");
+    }
+
+    #[test]
+    fn an_untraced_handling_charges_nothing_to_the_posters_open_op() {
+        // A server steps on the thread that posted to it. A request with
+        // no context (raw traffic, or another client's parked op replayed
+        // here) must not charge its sends to this thread's own operation.
+        let t = Tracer::new(true);
+        t.begin_op("rmdir", 0, 0);
+        assert!(t.begin_from(None, "MigrateBegin", 1, 5));
+        t.charge_send();
+        t.leaf_send(Cause::Inval, "inval", 1, 6);
+        assert!(t.send_ctx(Cause::ChainHop).is_none());
+        t.end_span(9);
+        // The shield is gone with the handling.
+        assert!(t.send_ctx(Cause::Rpc).is_some());
+        t.end_op(10);
+        assert_eq!(t.open_spans(), 0);
+        let trees = t.op_trees();
+        assert_eq!(trees[0].total_sends(), 1);
+        assert!(trees[0].children.is_empty());
     }
 
     #[test]

@@ -710,9 +710,6 @@ pub enum Request {
         /// Bytes to write (shared, so a parked write holds no copy).
         data: Arc<[u8]>,
     },
-
-    /// Stops the server loop (machine shutdown).
-    Shutdown,
 }
 
 /// State returned to the last remaining holder of a descriptor when the
@@ -1029,7 +1026,6 @@ impl Request {
             Request::PipeCreate => "PipeCreate",
             Request::PipeRead { .. } => "PipeRead",
             Request::PipeWrite { .. } => "PipeWrite",
-            Request::Shutdown => "Shutdown",
         }
     }
 }
@@ -1130,7 +1126,6 @@ pub fn base_service_cost(req: &Request) -> u64 {
         // group pays each entry's service cost but only one message
         // overhead (receive + reply send + context switch).
         Request::Batch { reqs, .. } => reqs.iter().map(base_service_cost).sum(),
-        Request::Shutdown => 0,
     }
 }
 
@@ -1159,11 +1154,6 @@ mod tests {
         // the server.
         assert_eq!(base_service_cost(&add), 1211);
         assert_eq!(base_service_cost(&rm), 756);
-    }
-
-    #[test]
-    fn shutdown_is_free() {
-        assert_eq!(base_service_cost(&Request::Shutdown), 0);
     }
 
     #[test]

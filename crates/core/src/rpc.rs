@@ -151,7 +151,7 @@ pub fn wait_call(machine: &Arc<Machine>, entity: &Entity, pending: PendingCall) 
 /// Issues one blocking RPC from `entity` to `server`: [`send_call`]
 /// followed immediately by [`wait_call`]. The server's timeline serializes
 /// the request with the server's other requests and its core pays the
-/// service cycles (see the server loop).
+/// service cycles (see `Server::handle`).
 pub fn call(
     machine: &Arc<Machine>,
     entity: &Entity,
@@ -259,47 +259,25 @@ mod tests {
 
     /// A toy server that answers `Unit` after `service` cycles, using the
     /// same accounting as the real file server.
-    fn toy_server(
-        machine: Arc<Machine>,
-        core: usize,
-        service: u64,
-    ) -> (ServerHandle, std::thread::JoinHandle<()>) {
-        let (tx, rx) = msg::channel::<ServerMsg>(Arc::clone(&machine.msg_stats));
+    fn toy_server(machine: Arc<Machine>, core: usize, service: u64) -> ServerHandle {
+        let (tx, inbox) = machine
+            .mailboxes
+            .mailbox::<ServerMsg>(Arc::clone(&machine.msg_stats));
         machine.register_entity(core);
-        let m = Arc::clone(&machine);
-        let h = std::thread::spawn(move || {
-            let mut now = 0u64;
-            while let Ok(env) = rx.recv() {
-                if matches!(env.payload.req, Request::Shutdown) {
-                    break;
-                }
-                let mut cost = m.cost.msg_recv + service + m.cost.msg_send;
-                if m.timeshared(core) {
-                    cost += m.cost.ctx_switch;
-                }
-                now = now.max(env.deliver_at) + cost;
-                m.busy.advance(core, cost);
-                m.note(now);
-                let deliver = now + m.latency(core, env.src_core);
-                let _ = env.payload.reply.send(Ok(Reply::Unit), deliver, core);
+        let mut now = 0u64;
+        inbox.serve(move |env| {
+            let m = &machine;
+            let mut cost = m.cost.msg_recv + service + m.cost.msg_send;
+            if m.timeshared(core) {
+                cost += m.cost.ctx_switch;
             }
+            now = now.max(env.deliver_at) + cost;
+            m.busy.advance(core, cost);
+            m.note(now);
+            let deliver = now + m.latency(core, env.src_core);
+            let _ = env.payload.reply.send(Ok(Reply::Unit), deliver, core);
         });
-        (ServerHandle { id: 0, core, tx }, h)
-    }
-
-    fn shutdown(machine: &Arc<Machine>, srv: &ServerHandle, h: std::thread::JoinHandle<()>) {
-        srv.tx
-            .send(
-                ServerMsg {
-                    req: Request::Shutdown,
-                    reply: msg::channel(Arc::clone(&machine.msg_stats)).0,
-                    span: None,
-                },
-                0,
-                0,
-            )
-            .unwrap();
-        h.join().unwrap();
+        ServerHandle { id: 0, core, tx }
     }
 
     #[test]
@@ -308,7 +286,7 @@ mod tests {
         let machine = Machine::new(&cfg);
         let client = Entity::new(0, 0);
         machine.register_entity(0);
-        let (srv, h) = toy_server(Arc::clone(&machine), 1, 1000);
+        let srv = toy_server(Arc::clone(&machine), 1, 1000);
 
         let r = call(&machine, &client, &srv, Request::PipeCreate);
         assert!(r.is_ok());
@@ -323,7 +301,6 @@ mod tests {
         assert_eq!(client.now(), expect);
         // Busy: the client core only executed send + recv.
         assert_eq!(machine.busy.now(0), c.msg_send + c.msg_recv);
-        shutdown(&machine, &srv, h);
     }
 
     #[test]
@@ -332,7 +309,7 @@ mod tests {
         let machine = Machine::new(&cfg);
         let client = Entity::new(0, 0);
         machine.register_entity(0); // the client
-        let (srv, h) = toy_server(Arc::clone(&machine), 0, 1000); // + server
+        let srv = toy_server(Arc::clone(&machine), 0, 1000); // + server
 
         let r = call(&machine, &client, &srv, Request::PipeCreate);
         assert!(r.is_ok());
@@ -343,7 +320,6 @@ mod tests {
             + c.lat_same_core
             + (c.msg_recv + c.ctx_switch);
         assert_eq!(client.now(), expect);
-        shutdown(&machine, &srv, h);
     }
 
     #[test]
@@ -357,7 +333,7 @@ mod tests {
         let b = Entity::new(1, 0);
         machine.register_entity(0);
         machine.register_entity(1);
-        let (srv, h) = toy_server(Arc::clone(&machine), 2, 50_000);
+        let srv = toy_server(Arc::clone(&machine), 2, 50_000);
 
         let ta = std::thread::spawn({
             let m = Arc::clone(&machine);
@@ -382,7 +358,6 @@ mod tests {
         let c = &machine.cost;
         assert_eq!(machine.busy.now(0), c.msg_send + c.msg_recv);
         assert_eq!(machine.busy.now(1), c.msg_send + c.msg_recv);
-        shutdown(&machine, &srv, h);
     }
 
     #[test]
@@ -391,13 +366,9 @@ mod tests {
         let machine = Machine::new(&cfg);
         let client = Entity::new(0, 0);
         machine.register_entity(0);
-        let mut handles = Vec::new();
-        let mut joins = Vec::new();
-        for core in 1..4 {
-            let (s, j) = toy_server(Arc::clone(&machine), core, 10_000);
-            handles.push(s);
-            joins.push(j);
-        }
+        let handles: Vec<_> = (1..4)
+            .map(|core| toy_server(Arc::clone(&machine), core, 10_000))
+            .collect();
 
         let replies = multicall(&machine, &client, &handles, true, |_| Request::PipeCreate);
         assert_eq!(replies.len(), 3);
@@ -409,9 +380,5 @@ mod tests {
             "broadcast did not overlap: {}",
             client.now()
         );
-
-        for (s, j) in handles.iter().zip(joins) {
-            shutdown(&machine, s, j);
-        }
     }
 }

@@ -7,9 +7,11 @@
 //! Servers never talk to each other — all multi-server operations are
 //! composed by client libraries (paper §3.3).
 //!
-//! The server is single-threaded: its state needs no locks, and requests
-//! serialize on its core's virtual clock, which is exactly the queueing
-//! behaviour the evaluation measures.
+//! The server is a step function, not a thread: [`Server::handle`] runs on
+//! whichever thread posted the request (see [`msg::mailbox`]), one request
+//! at a time. Its state needs no locks, and requests serialize on its
+//! core's virtual clock, which is exactly the queueing behaviour the
+//! evaluation measures.
 
 pub mod buffer;
 pub mod dentry;
@@ -170,7 +172,6 @@ pub struct Server {
     anchor: u64,
     /// Service cycles dispensed since `anchor`.
     acc: u64,
-    stop: bool,
 }
 
 impl Server {
@@ -213,17 +214,6 @@ impl Server {
             dir_writes: HashMap::new(),
             anchor: 0,
             acc: 0,
-            stop: false,
-        }
-    }
-
-    /// Runs the request loop until shutdown. Consumes the server.
-    pub fn run(mut self, rx: msg::Receiver<ServerMsg>) {
-        while !self.stop {
-            match rx.recv() {
-                Ok(env) => self.handle(env),
-                Err(_) => break,
-            }
         }
     }
 
@@ -235,10 +225,13 @@ impl Server {
     /// continuously busy since the last phase barrier) the accumulated
     /// term dominates and requests queue — the `pfind sparse` bottleneck.
     /// When the server has spare capacity, completion tracks the arrival.
-    /// Deliberately *not* `max(now, arrival) + service`: real threads
-    /// deliver messages out of virtual-time order, and a ratcheting `now`
-    /// would let one late-arriving message inflate every later-processed
-    /// one (the simulation artifact, not queueing).
+    /// Deliberately *not* `max(now, arrival) + service`: client threads
+    /// are real threads and post their requests out of virtual-time order
+    /// (the host, not the virtual clock, decides who reaches the turnstile
+    /// next), and a ratcheting `now` would let one late-arriving message
+    /// inflate every later-processed one (the simulation artifact, not
+    /// queueing). A single driving thread posts in a fixed order, so its
+    /// numbers repeat exactly.
     fn serve(&mut self, arrival: u64, service: u64) -> u64 {
         let sync = self.machine.sync_time();
         if sync > self.anchor {
@@ -330,10 +323,6 @@ impl Server {
         let deliver_at = env.deliver_at;
         let src_core = env.src_core;
         let ServerMsg { req, reply, span } = env.payload;
-        if matches!(req, Request::Shutdown) {
-            self.stop = true;
-            return;
-        }
         // The server side of the op's span tree: a child span from the
         // request's context, charged with every send this handling issues
         // (reply, chain forward, invalidations, replica callbacks).
@@ -629,10 +618,6 @@ impl Server {
             Request::Batch { reqs, fail_fast } => {
                 Some(self.op_batch(reqs, fail_fast, src_core, reply, ctx))
             }
-            Request::Shutdown => {
-                self.stop = true;
-                None
-            }
         }
     }
 
@@ -653,7 +638,6 @@ impl Server {
                 // MigrateBegin can park behind an rmdir mark, so its reply
                 // may not come inline.
                 | Request::MigrateBegin { .. }
-                | Request::Shutdown
         )
     }
 
@@ -730,8 +714,7 @@ impl Server {
             | Request::ReplicaInstall { .. }
             | Request::ReplicaDrop { .. }
             | Request::ReplicaInval { .. }
-            | Request::Batch { .. }
-            | Request::Shutdown => return,
+            | Request::Batch { .. } => return,
             _ => {}
         }
         self.ops_served += 1;

@@ -74,9 +74,8 @@ fn span_tree_sums_equal_the_msg_layer_send_count_exactly() {
     let s0 = inst.machine().msg_stats.sends();
     workload(&c);
     // Detach the client while the servers still answer (its Unregister
-    // fan-out is an exchange per server), then join the server threads —
-    // that guarantees every one-way send (inval, wakeup) the ops caused
-    // has been recorded before the counters are read.
+    // fan-out is an exchange per server). Every one-way send (inval,
+    // wakeup) the ops caused was made before the op's own send returned.
     c.shutdown();
     inst.shutdown();
     let delta = inst.machine().msg_stats.sends() - s0;
@@ -87,9 +86,9 @@ fn span_tree_sums_equal_the_msg_layer_send_count_exactly() {
     let span_sum: u64 = trees.iter().map(|t| t.total_sends()).sum();
     // Everything between the marks was charged to a tree except the
     // bookkeeping outside any op: the client's Unregister fan-out (one
-    // exchange per server) and the nservers one-way Shutdown messages.
+    // exchange per server).
     assert_eq!(
-        span_sum + 2 * nservers + nservers,
+        span_sum + 2 * nservers,
         delta,
         "every send must be charged to exactly one span:\n{}",
         trees
@@ -156,8 +155,8 @@ fn depth8_chained_fused_stat_assembles_a_deterministic_tree() {
         );
         // The tree accounts for the whole cold stat; outside it the delta
         // holds only the client's Unregister fan-out (2 sends × 4
-        // servers) and the 4 one-way Shutdown messages.
-        assert_eq!(stat.total_sends() + 12, delta, "{}", stat.render());
+        // servers).
+        assert_eq!(stat.total_sends() + 8, delta, "{}", stat.render());
         (stat.render(), inst.machine().otrace.to_chrome_json())
     };
     let (render_a, chrome_a) = run();

@@ -1,9 +1,15 @@
 //! The atomic-delivery channel.
+//!
+//! One queue type backs both transports: a plain [`channel`], whose
+//! receiving half is polled or blocked on by the thread that owns it, and
+//! a caller-stepped mailbox ([`Mailboxes::mailbox`]), whose envelopes are
+//! handed to a step function by the thread that posted them.
 
+use crate::mailbox::{Mailboxes, Step};
 use crate::stats::MsgStats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A message plus the simulation metadata Hare needs.
 #[derive(Debug, Clone)]
@@ -36,11 +42,30 @@ struct Shared<T> {
     queue: Mutex<State<T>>,
     avail: Condvar,
     stats: Arc<MsgStats>,
+    /// Present on a mailbox: who steps it, and with what.
+    stepped: Option<Stepped<T>>,
 }
 
 struct State<T> {
     queue: VecDeque<Envelope<T>>,
     closed: bool,
+    /// Receivers parked in [`Receiver::recv`]. `Condvar::notify_*` is a
+    /// futex syscall even with nobody waiting, so senders skip it at 0.
+    parked: usize,
+}
+
+/// A mailbox's step function.
+type Handler<T> = Box<dyn FnMut(Envelope<T>) + Send>;
+
+/// The mailbox half of a [`Shared`] queue.
+struct Stepped<T> {
+    group: Arc<Mailboxes>,
+    /// This queue, type-erased for the group's pending list.
+    me: Weak<dyn Step>,
+    /// Locked for the length of one step, so a handler never runs
+    /// concurrently with itself. `None` before [`Inbox::serve`] and after
+    /// [`Sender::close`].
+    handler: Mutex<Option<Handler<T>>>,
 }
 
 /// Sending half; cheap to clone (multiple producers).
@@ -74,16 +99,24 @@ impl<T> std::fmt::Debug for Receiver<T> {
     }
 }
 
+impl<T> Shared<T> {
+    fn new(stats: Arc<MsgStats>, closed: bool, stepped: Option<Stepped<T>>) -> Self {
+        Shared {
+            queue: Mutex::new(State {
+                queue: VecDeque::new(),
+                closed,
+                parked: 0,
+            }),
+            avail: Condvar::new(),
+            stats,
+            stepped,
+        }
+    }
+}
+
 /// Creates a channel. `stats` accumulates machine-wide message counters.
 pub fn channel<T>(stats: Arc<MsgStats>) -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(Shared {
-        queue: Mutex::new(State {
-            queue: VecDeque::new(),
-            closed: false,
-        }),
-        avail: Condvar::new(),
-        stats,
-    });
+    let shared = Arc::new(Shared::new(stats, false, None));
     (
         Sender {
             shared: Arc::clone(&shared),
@@ -92,32 +125,120 @@ pub fn channel<T>(stats: Arc<MsgStats>) -> (Sender<T>, Receiver<T>) {
     )
 }
 
+/// The serving half of a mailbox: consumed by installing the step
+/// function. Until then the mailbox refuses mail, like a closed one.
+pub struct Inbox<T> {
+    shared: Arc<Shared<T>>,
+}
+
+impl<T> std::fmt::Debug for Inbox<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Inbox")
+    }
+}
+
+impl Mailboxes {
+    /// Creates a mailbox in this group: a queue with no receiver, whose
+    /// envelopes are stepped through the handler given to
+    /// [`Inbox::serve`] by the threads that post them (see
+    /// [`crate::mailbox`] for who steps what, and when).
+    pub fn mailbox<T: Send + 'static>(
+        self: &Arc<Self>,
+        stats: Arc<MsgStats>,
+    ) -> (Sender<T>, Inbox<T>) {
+        let shared = Arc::new_cyclic(|me: &Weak<Shared<T>>| {
+            let stepped = Stepped {
+                group: Arc::clone(self),
+                me: me.clone(),
+                handler: Mutex::new(None),
+            };
+            // Closed until `Inbox::serve` gives it a step function.
+            Shared::new(stats, true, Some(stepped))
+        });
+        (
+            Sender {
+                shared: Arc::clone(&shared),
+            },
+            Inbox { shared },
+        )
+    }
+}
+
+impl<T> Inbox<T> {
+    /// Installs the step function and opens the mailbox for mail.
+    pub fn serve(self, handler: impl FnMut(Envelope<T>) + Send + 'static) {
+        let stepped = self.shared.stepped.as_ref().expect("an inbox is a mailbox");
+        *stepped.handler.lock() = Some(Box::new(handler));
+        self.shared.queue.lock().closed = false;
+    }
+}
+
+impl<T: Send> Step for Shared<T> {
+    fn step(&self) {
+        let stepped = self.stepped.as_ref().expect("only mailboxes are posted");
+        let mut handler = stepped.handler.lock();
+        let env = self.queue.lock().queue.pop_front();
+        // No handler: closed since the post; the envelope is dropped.
+        if let (Some(handler), Some(env)) = (handler.as_mut(), env) {
+            handler(env);
+        }
+    }
+
+    fn discard(&self) {
+        let env = self.queue.lock().queue.pop_front();
+        drop(env);
+    }
+}
+
 impl<T> Sender<T> {
     /// Sends a message with atomic delivery: when this returns `Ok`, the
-    /// envelope is already in the receiver's queue.
+    /// envelope is already in the receiver's queue. On a mailbox it has
+    /// also been stepped, unless the caller is itself a step function of
+    /// the same group — then it is stepped right after the caller returns.
     pub fn send(&self, payload: T, deliver_at: u64, src_core: usize) -> Result<(), SendError> {
+        let env = Envelope {
+            payload,
+            deliver_at,
+            src_core,
+        };
+        match &self.shared.stepped {
+            None => self.enqueue(env),
+            Some(s) => s.group.post(&s.me, || self.enqueue(env)),
+        }
+    }
+
+    fn enqueue(&self, env: Envelope<T>) -> Result<(), SendError> {
         let mut st = self.shared.queue.lock();
         if st.closed {
             return Err(SendError);
         }
-        st.queue.push_back(Envelope {
-            payload,
-            deliver_at,
-            src_core,
-        });
+        st.queue.push_back(env);
         self.shared.stats.record_send();
+        let wake = st.parked > 0;
         drop(st);
-        self.shared.avail.notify_one();
+        if wake {
+            self.shared.avail.notify_one();
+        }
         Ok(())
     }
 
     /// Closes the channel; pending messages remain receivable, after which
-    /// receivers observe [`RecvError::Closed`].
+    /// receivers observe [`RecvError::Closed`]. On a mailbox this also
+    /// drops the step function (and whatever it owns) once a step in
+    /// progress has returned — so a step function must not close its own
+    /// mailbox.
     pub fn close(&self) {
         let mut st = self.shared.queue.lock();
         st.closed = true;
+        let wake = st.parked > 0;
         drop(st);
-        self.shared.avail.notify_all();
+        if wake {
+            self.shared.avail.notify_all();
+        }
+        if let Some(s) = &self.shared.stepped {
+            let handler = s.handler.lock().take();
+            drop(handler);
+        }
     }
 }
 
@@ -149,7 +270,9 @@ impl<T> Receiver<T> {
             if st.closed {
                 return Err(RecvError::Closed);
             }
+            st.parked += 1;
             self.shared.avail.wait(&mut st);
+            st.parked -= 1;
         }
     }
 

@@ -16,11 +16,20 @@
 //! In the paper the transport is cache-coherent shared memory used *only*
 //! for these queues; here it is a mutex-protected queue, which is the same
 //! abstraction boundary.
+//!
+//! Two kinds of queue share that guarantee. A [`channel()`] has a receiving
+//! half that its owner polls or blocks on: reply slots, invalidation
+//! queues, exit statuses. A *mailbox* ([`Mailboxes::mailbox`]) has a step
+//! function instead of a receiver, run by the thread that posts to it:
+//! Hare's servers are mailboxes, so nothing in this crate — or above it —
+//! dedicates a thread to a server (see [`mailbox`]).
 
 pub mod channel;
+pub mod mailbox;
 pub mod stats;
 
-pub use channel::{channel, Envelope, Receiver, RecvError, SendError, Sender};
+pub use channel::{channel, Envelope, Inbox, Receiver, RecvError, SendError, Sender};
+pub use mailbox::Mailboxes;
 pub use stats::MsgStats;
 
 #[cfg(test)]

@@ -35,8 +35,6 @@ pub struct ExecRequest {
 pub enum SchedMsg {
     /// Start a process on this server's core.
     Exec(ExecRequest),
-    /// Stop the server loop.
-    Shutdown,
 }
 
 /// Handle to one core's scheduling server.
@@ -48,65 +46,60 @@ pub struct SchedHandle {
     pub tx: msg::Sender<SchedMsg>,
 }
 
-/// Runs one scheduling server until shutdown.
+/// One scheduling server's step function: handles a single message on the
+/// thread that posted it (the server is a mailbox of the machine, see
+/// [`msg::mailbox`]); the process it starts gets a thread of its own.
 ///
 /// The server holds only a weak reference to the system so that dropping
 /// the system tears everything down cleanly.
-pub fn run_sched_server(
-    system: Weak<HareSystem>,
+pub fn sched_server_step(
+    system: &Weak<HareSystem>,
     core: usize,
-    rx: msg::Receiver<SchedMsg>,
-    proc_threads: std::sync::mpsc::Sender<std::thread::JoinHandle<()>>,
+    env: msg::Envelope<SchedMsg>,
+    proc_threads: &std::sync::mpsc::Sender<std::thread::JoinHandle<()>>,
 ) {
-    while let Ok(env) = rx.recv() {
-        match env.payload {
-            SchedMsg::Shutdown => break,
-            SchedMsg::Exec(req) => {
-                let Some(system) = system.upgrade() else {
-                    break;
-                };
-                let machine = Arc::clone(system.instance().machine());
-                // The scheduling server forks itself and execs the image:
-                // the spawn cost is CPU work on this core, and the child's
-                // timeline begins when it completes.
-                machine.busy.advance(core, SPAWN_COST);
-                let start = env.deliver_at + SPAWN_COST;
-                machine.note(start);
-                let exit_tx = req.exit_tx;
-                let handle = std::thread::Builder::new()
-                    .name(format!("hare-proc-c{core}"))
-                    .spawn(move || {
-                        let status = match HareProc::start_on(
-                            Arc::clone(&system),
-                            core,
-                            start,
-                            req.exports,
-                            req.placement,
-                            Some(req.signals),
-                        ) {
-                            Ok(proc) => {
-                                let status = (req.main)(&proc);
-                                // Exit notification back to the proxy
-                                // (paper §3.5: the scheduling server "will
-                                // send an RPC back to the proxy, enabling
-                                // the proxy to exit").
-                                let t_exit = proc.lib().vnow() + machine.cost.msg_send;
-                                machine.busy.advance(core, machine.cost.msg_send);
-                                machine.note(t_exit);
-                                drop(proc); // closes descriptors, unregisters
-                                let _ = exit_tx.send(status, t_exit, core);
-                                return;
-                            }
-                            Err(e) => {
-                                debug_assert!(false, "process start failed: {e}");
-                                127
-                            }
-                        };
-                        let _ = exit_tx.send(status, start, core);
-                    })
-                    .expect("spawn process thread");
-                let _ = proc_threads.send(handle);
-            }
-        }
-    }
+    let SchedMsg::Exec(req) = env.payload;
+    let Some(system) = system.upgrade() else {
+        return;
+    };
+    let machine = Arc::clone(system.instance().machine());
+    // The scheduling server forks itself and execs the image: the spawn
+    // cost is CPU work on this core, and the child's timeline begins when
+    // it completes.
+    machine.busy.advance(core, SPAWN_COST);
+    let start = env.deliver_at + SPAWN_COST;
+    machine.note(start);
+    let exit_tx = req.exit_tx;
+    let handle = std::thread::Builder::new()
+        .name(format!("hare-proc-c{core}"))
+        .spawn(move || {
+            let status = match HareProc::start_on(
+                Arc::clone(&system),
+                core,
+                start,
+                req.exports,
+                req.placement,
+                Some(req.signals),
+            ) {
+                Ok(proc) => {
+                    let status = (req.main)(&proc);
+                    // Exit notification back to the proxy (paper §3.5: the
+                    // scheduling server "will send an RPC back to the
+                    // proxy, enabling the proxy to exit").
+                    let t_exit = proc.lib().vnow() + machine.cost.msg_send;
+                    machine.busy.advance(core, machine.cost.msg_send);
+                    machine.note(t_exit);
+                    drop(proc); // closes descriptors, unregisters
+                    let _ = exit_tx.send(status, t_exit, core);
+                    return;
+                }
+                Err(e) => {
+                    debug_assert!(false, "process start failed: {e}");
+                    127
+                }
+            };
+            let _ = exit_tx.send(status, start, core);
+        })
+        .expect("spawn process thread");
+    let _ = proc_threads.send(handle);
 }

@@ -3,7 +3,7 @@
 
 use crate::policy::PlacementState;
 use crate::proc::HareProc;
-use crate::server::{run_sched_server, SchedHandle, SchedMsg};
+use crate::server::{sched_server_step, SchedHandle, SchedMsg};
 use fsapi::System;
 use hare_core::{HareConfig, HareInstance};
 use parking_lot::Mutex;
@@ -14,7 +14,6 @@ use std::sync::{mpsc, Arc};
 pub struct HareSystem {
     inst: Arc<HareInstance>,
     scheds: HashMap<usize, SchedHandle>,
-    sched_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     proc_threads: Mutex<mpsc::Receiver<std::thread::JoinHandle<()>>>,
     /// Weak self-reference so processes can hold the system alive
     /// (installed by `Arc::new_cyclic` at start).
@@ -28,23 +27,19 @@ impl HareSystem {
         let (pt_tx, pt_rx) = mpsc::channel();
         Arc::new_cyclic(|weak| {
             let mut scheds = HashMap::new();
-            let mut threads = Vec::new();
+            let machine = inst.machine();
             for &core in &inst.config().app_cores {
-                let (tx, rx) = msg::channel::<SchedMsg>(Arc::clone(&inst.machine().msg_stats));
+                let (tx, inbox) = machine
+                    .mailboxes
+                    .mailbox::<SchedMsg>(Arc::clone(&machine.msg_stats));
                 let w = weak.clone();
                 let pt = pt_tx.clone();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("hare-sched-{core}"))
-                        .spawn(move || run_sched_server(w, core, rx, pt))
-                        .expect("spawn sched server"),
-                );
+                inbox.serve(move |env| sched_server_step(&w, core, env, &pt));
                 scheds.insert(core, SchedHandle { core, tx });
             }
             HareSystem {
                 inst,
                 scheds,
-                sched_threads: Mutex::new(threads),
                 proc_threads: Mutex::new(pt_rx),
                 self_ref: weak.clone(),
             }
@@ -76,12 +71,8 @@ impl HareSystem {
                 let _ = h.join();
             }
         }
-        let mut threads = self.sched_threads.lock();
         for h in self.scheds.values() {
-            let _ = h.tx.send(SchedMsg::Shutdown, 0, 0);
-        }
-        for t in threads.drain(..) {
-            let _ = t.join();
+            h.tx.close();
         }
         self.inst.shutdown();
     }

@@ -11,8 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// it, which is how the paper's "timeshare" configuration (server and
 /// application on every core, §5.3.2) is modelled.
 ///
-/// All operations are thread-safe: real OS threads simulate the entities
-/// concurrently and race on these counters with atomic read-modify-write.
+/// All operations are thread-safe: simulated processes are real OS threads
+/// (each also steps the servers it talks to) and race on these counters
+/// with atomic read-modify-write.
 pub struct Clocks {
     cores: Vec<CachePadded<AtomicU64>>,
 }

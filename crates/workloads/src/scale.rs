@@ -2,7 +2,7 @@
 //!
 //! The paper runs each microbenchmark for ~65,535 iterations, extracts the
 //! Linux 3.0 kernel, and builds it (~1.2 M file system operations, §5.2).
-//! A single-CPU reproduction runs every simulated core as a thread, so the
+//! A single-CPU reproduction runs every simulated process as a thread, so the
 //! default sizes are scaled down while preserving each workload's *shape*
 //! (op mix, sharing pattern, tree fan-out). `Scale::quick` is for tests;
 //! `Scale::bench` for figure regeneration.
